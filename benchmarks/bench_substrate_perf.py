@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.experiments.bench import dense_dag_schedule
 from repro.experiments.scenarios import Scenario
-from repro.network.maxmin import maxmin_rates_indexed
+from repro.network.maxmin import maxmin_rates, waterfill_bundled
 from repro.platforms.grid5000 import GRILLON
 from repro.scheduling.allocation import hcpa_allocation
 from repro.simulation.simulator import simulate
@@ -69,20 +69,6 @@ def test_hcpa_allocation_speed(benchmark):
     assert res.converged or res.iterations > 0
 
 
-def test_maxmin_solver_speed(benchmark):
-    """1000 random flows over grelon-sized topology (250 links)."""
-    rng = spawn_rng("maxmin-bench")
-    n_links, n_flows = 250, 1000
-    capacities = np.full(n_links, 1.25e8)
-    flows = [
-        [int(a), int(b)]
-        for a, b in rng.integers(0, n_links, size=(n_flows, 2))
-    ]
-    rates = benchmark(maxmin_rates_indexed, flows, capacities)
-    assert len(rates) == n_flows
-    assert (rates >= 0).all()
-
-
 def test_simulator_component_reuse(benchmark):
     """Sparse multi-cluster pipelines: the lazy component engine's regime.
 
@@ -101,19 +87,25 @@ def test_simulator_component_reuse(benchmark):
 
 
 def test_maxmin_bundled_speed(benchmark):
-    """Same random flow set through the bundled solver (the sim hot path)."""
-    from repro.network.maxmin import maxmin_rates_bundled
-
+    """1000 random flows over a grelon-sized topology (250 links) through
+    the bundled solver (the sim hot path), checked against the reference
+    :func:`maxmin_rates`."""
     rng = spawn_rng("maxmin-bench")
     n_links, n_flows = 250, 1000
     capacities = np.full(n_links, 1.25e8)
-    flows = [
-        [int(a), int(b)]
-        for a, b in rng.integers(0, n_links, size=(n_flows, 2))
-    ]
-    rates = benchmark(maxmin_rates_bundled, flows, capacities)
+    flows = rng.integers(0, n_links, size=(n_flows, 2))
+    routes, bundle_of, counts = np.unique(flows, axis=0,
+                                          return_inverse=True,
+                                          return_counts=True)
+    flat = np.ascontiguousarray(routes.ravel(), dtype=np.intp)
+    mult = counts.astype(float)
+    caps = np.full(len(mult), np.inf)
+    bundle_rates = benchmark(waterfill_bundled, flat, None, mult,
+                             capacities, caps, route_len=2)
+    rates = bundle_rates[bundle_of.ravel()]
     assert len(rates) == n_flows
-    ref = maxmin_rates_indexed(flows, capacities)
+    ref = maxmin_rates([list(map(int, f)) for f in flows],
+                       dict(enumerate(capacities)))
     np.testing.assert_allclose(rates, ref, rtol=1e-9, atol=1e-9)
 
 

@@ -144,8 +144,8 @@ def large_platform_jobs(n_clusters: int = 128, procs: int = 192,
     live flow set stays component-sparse, and *every* hop a real 16→11
     redistribution (``gcd = 1`` keeps each banded matrix one component,
     as in :func:`sparse_multicluster_schedule`).  Overlapping jobs on
-    one cluster merge components; their staggered drains are what the
-    dynamic split machinery recovers from.  Returns the platform and
+    one cluster merge components and drain staggered, leaving tombstone
+    rows for later releases to resurrect.  Returns the platform and
     one t=0-based :class:`Schedule` per job (the live engine reads only
     durations and per-processor order, so injection time is free).
     """
@@ -229,21 +229,27 @@ def _bench_component_reuse(n_clusters: int) -> tuple[Callable, dict]:
 def _bench_maxmin(n_flows: int) -> tuple[Callable, dict]:
     import numpy as np
 
-    from repro.network.maxmin import maxmin_rates_bundled
+    from repro.network.maxmin import waterfill_bundled
     from repro.utils.rng import spawn_rng
 
     rng = spawn_rng("maxmin-bench")
     n_links = 250
     inner = 50  # sub-millisecond solve: batch it so rounds are stable
     capacities = np.full(n_links, 1.25e8)
-    flows = [[int(a), int(b)]
-             for a, b in rng.integers(0, n_links, size=(n_flows, 2))]
+    flows = rng.integers(0, n_links, size=(n_flows, 2))
+    # two-link routes; identical routes bundle with a multiplicity
+    routes, counts = np.unique(flows, axis=0, return_counts=True)
+    flat = np.ascontiguousarray(routes.ravel(), dtype=np.intp)
+    mult = counts.astype(float)
+    caps = np.full(len(mult), np.inf)
 
     def run():
         for _ in range(inner):
-            maxmin_rates_bundled(flows, capacities)
+            waterfill_bundled(flat, None, mult, capacities, caps,
+                              route_len=2)
 
-    return run, {"n_flows": n_flows, "n_links": n_links, "inner": inner}
+    return run, {"n_flows": n_flows, "n_bundles": len(mult),
+                 "n_links": n_links, "inner": inner}
 
 
 def _bench_rats_mapping(n_tasks: int) -> tuple[Callable, dict]:
@@ -316,11 +322,6 @@ def _bench_online_stream(n_jobs: int,
         return OnlineSimulator(platform).run(stream)
 
     res = run()  # warm-up, also yields metadata
-    # the threaded solver must replay the serial run byte-for-byte:
-    # same events, same makespan, same per-job records
-    thr = OnlineSimulator(platform, solver_threads=4).run(stream)
-    assert thr.events == res.events and thr.makespan == res.makespan
-    assert thr.records == res.records
     return run, {"n_jobs": n_jobs, "n_clusters": n_clusters,
                  "events": res.events,
                  "solves_full": res.solves_full,
@@ -343,10 +344,8 @@ def _bench_large_platform_stream(n_clusters: int, n_jobs: int,
     Poisson arrivals and drain; ~100k+ events at full size.  On a
     platform this wide, per-solve cost is dominated by the O(total
     links) ``bincount``/``levels`` term unless solves are component-
-    local, so this bench is where the local link indexing and dynamic
-    splits earn their keep; ``local_global_speedup`` in the metadata
-    records the measured ratio against the same engine with both knobs
-    off (the pre-PR global-array solve cost).
+    local, so this bench is where the per-component local link indexing
+    earns its keep.
     """
     import numpy as np
 
@@ -359,8 +358,8 @@ def _bench_large_platform_stream(n_clusters: int, n_jobs: int,
     rng = spawn_rng("large-platform-arrivals")
     arrivals = np.cumsum(rng.exponential(0.35, len(jobs)))
 
-    def _drive(**knobs):
-        eng = LiveFluidEngine(platform, **knobs)
+    def run():
+        eng = LiveFluidEngine(platform)
         for j, schedule in enumerate(jobs):
             t = float(arrivals[j])
             eng.advance_until(t)
@@ -368,39 +367,23 @@ def _bench_large_platform_stream(n_clusters: int, n_jobs: int,
         eng.drain()
         return eng
 
-    def run():
-        return _drive()
-
-    ref = _drive(collect_flow_traces=True)
-    #   ^ untimed warm-up: fills the topology route caches, which
-    #     otherwise dominate whichever run goes first; doubles as the
-    #     trace reference for the identity assertions below
+    # untimed warm-up: fills the topology route caches, which otherwise
+    # dominate whichever run goes first
+    run()
     t0 = time.perf_counter()
     eng = run()
-    t_local = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    base = _drive(local_index=False, split_threshold=None)
-    t_global = time.perf_counter() - t0
-    assert base.events == eng.events and base.makespan() == eng.makespan()
-    # the threaded solver must replay the serial engine byte-for-byte:
-    # events, makespan, and every task/flow trace
-    thr = _drive(solver_threads=4, collect_flow_traces=True)
-    assert thr.events == ref.events and thr.makespan() == ref.makespan()
-    assert thr.traces == ref.traces
-    assert thr.flow_traces == ref.flow_traces
+    t_run = time.perf_counter() - t0
     return run, {"n_clusters": n_clusters, "n_jobs": n_jobs,
                  "chain_len": chain_len,
                  "n_links": len(platform.topology.capacity_array),
                  "events": eng.events,
                  "solves_component": eng.solves_component,
                  "solve_rows": eng.solve_rows,
-                 "splits": eng.splits,
                  "makespan": eng.makespan(),
-                 "local_global_speedup": t_global / max(t_local, 1e-9),
                  # attribution: this bench injects pre-built schedules,
                  # so the whole timed run is simulator work
                  "sched_s": 0.0,
-                 "sim_s": t_local,
+                 "sim_s": t_run,
                  # sim_s split further: Max-Min solve time vs event loop
                  "solve_s": eng.solve_s,
                  "event_s": eng.event_s}

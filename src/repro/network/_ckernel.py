@@ -33,9 +33,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["load_kernel", "load_indexed_kernel", "load_pricing_kernel",
-           "load_batch_kernel", "load_sweep_kernel",
-           "warm", "kernel_status"]
+__all__ = ["load_kernel", "load_pricing_kernel", "load_batch_kernel",
+           "load_sweep_kernel", "warm", "kernel_status"]
 
 #: Why the kernel is (un)available — for diagnostics, set by load_kernel.
 kernel_status = "not loaded"
@@ -65,9 +64,6 @@ _C_SOURCE = r"""
  * (4*n_links + 2*n_b) doubles plus n_b bytes, so the batched entry
  * point below can run many components through one allocation; the
  * single-component wrapper keeps the original malloc-per-call ABI.
- * ctypes dispatches every entry point through CDLL, which drops the
- * GIL around the foreign call — solver threads therefore run the
- * rounds truly concurrently.
  */
 static void waterfill_core(int64_t n_b, int64_t n_links,
                            const int64_t *flat, const int64_t *ptr,
@@ -212,10 +208,9 @@ int repro_waterfill(int64_t n_b, int64_t n_links,
  * per-flow rates, project completion times (t_now + remaining/rate,
  * the numpy expression verbatim) and write each component's earliest
  * projection to next_out (NaN-propagating like np.min, INFINITY when
- * the component has no flow slots).  Output slices are disjoint per
- * component, so concurrent calls over disjoint descriptor ranges are
- * race-free.  Returns 0, or non-zero when scratch allocation failed
- * (the caller falls back to per-component solves).
+ * the component has no flow slots).  Returns 0, or non-zero when
+ * scratch allocation failed (the caller falls back to per-component
+ * solves).
  */
 int repro_waterfill_batch(int64_t n_comps, const int64_t *desc,
                           double t_now, const double *remaining,
@@ -321,122 +316,6 @@ int64_t repro_sweep_comp(const int64_t *d, double dt, double t_now,
         *next_out = has_nan ? NAN : (n_f > 0 ? m : INFINITY);
     }
     return n_done;
-}
-
-/* Per-flow progressive filling with the rate-cap branch.
- *
- * Mirrors repro.network.maxmin.maxmin_rates_indexed round-for-round:
- * the same first-minimum argmin over link levels and unfixed caps, the
- * same cap-branch tolerance (cap_level < link_level - 1e-12) with *no*
- * residual clamp, and the same flow-major entry order for the
- * bottleneck-link subtraction followed by one clamp per round — so the
- * rates are bitwise identical to the numpy path.
- *
- * residual is caller-owned scratch (a private copy of the capacities)
- * and is freely mutated.  Flows with an empty route must already be
- * fixed at their cap by the caller (rates pre-filled); their
- * offsets[i+1] == offsets[i], which is how they are recognised here.
- *
- * Returns 0 on success, non-zero when scratch allocation failed — the
- * caller then falls back to the numpy implementation.
- */
-int repro_maxmin_indexed(int64_t n, int64_t n_links,
-                         const int64_t *flat, const int64_t *offsets,
-                         const double *caps,
-                         double *residual,
-                         double *rates)
-{
-    void *scratch = malloc((size_t)n_links * sizeof(double) + (size_t)n);
-    if (!scratch)
-        return 1;
-    double *counts = scratch;
-    unsigned char *unfixed = (unsigned char *)(counts + n_links);
-
-    int64_t n_unfixed = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (offsets[i + 1] == offsets[i]) {
-            rates[i] = caps[i];
-            unfixed[i] = 0;
-        } else {
-            rates[i] = 0.0;
-            unfixed[i] = 1;
-            n_unfixed++;
-        }
-    }
-
-    while (n_unfixed > 0) {
-        for (int64_t l = 0; l < n_links; l++) counts[l] = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            if (!unfixed[i]) continue;
-            for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
-                counts[flat[k]] += 1.0;
-        }
-        /* first-minimum link level, exactly np.argmin over the levels */
-        int64_t link_idx = 0;
-        double link_level = INFINITY;
-        for (int64_t l = 0; l < n_links; l++) {
-            double lv = counts[l] > 0.0 ? residual[l] / counts[l]
-                                        : INFINITY;
-            if (lv < link_level) {
-                link_level = lv;
-                link_idx = l;
-            }
-        }
-        /* first-minimum unfixed rate cap */
-        int64_t cap_idx = -1;
-        double cap_level = INFINITY;
-        for (int64_t i = 0; i < n; i++) {
-            if (unfixed[i] && caps[i] < cap_level) {
-                cap_level = caps[i];
-                cap_idx = i;
-            }
-        }
-
-        if (cap_level < link_level - 1e-12) {
-            rates[cap_idx] = cap_level;
-            unfixed[cap_idx] = 0;
-            /* numpy's cap branch subtracts without clamping */
-            for (int64_t k = offsets[cap_idx]; k < offsets[cap_idx + 1];
-                 k++)
-                residual[flat[k]] -= cap_level;
-            n_unfixed--;
-            continue;
-        }
-
-        if (!isfinite(link_level)) {       /* degenerate: unbounded */
-            for (int64_t i = 0; i < n; i++)
-                if (unfixed[i]) rates[i] = INFINITY;
-            break;
-        }
-
-        /* fix every unfixed flow crossing the bottleneck link, then
-         * subtract in flow-major entry order (np.subtract.at on the
-         * isin selection), then clamp once */
-        int64_t n_new = 0;
-        for (int64_t i = 0; i < n; i++) {
-            if (!unfixed[i]) continue;
-            for (int64_t k = offsets[i]; k < offsets[i + 1]; k++) {
-                if (flat[k] == link_idx) {
-                    rates[i] = link_level;
-                    unfixed[i] = 2;        /* subtract pass below */
-                    n_new++;
-                    break;
-                }
-            }
-        }
-        for (int64_t i = 0; i < n; i++) {
-            if (unfixed[i] == 2) {
-                unfixed[i] = 0;
-                for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
-                    residual[flat[k]] -= link_level;
-            }
-        }
-        for (int64_t l = 0; l < n_links; l++)
-            if (residual[l] < 0.0) residual[l] = 0.0;
-        n_unfixed -= n_new;
-    }
-    free(scratch);
-    return 0;
 }
 
 /* Masked redistribution statistics for the batched candidate pricing.
@@ -561,18 +440,6 @@ def load_kernel():
     return fn
 
 
-def load_indexed_kernel():
-    """Bind the per-flow indexed solver kernel, or ``None`` (numpy path)."""
-    lib = _load_lib()
-    if lib is None:
-        return None
-    fn = lib.repro_maxmin_indexed
-    i64, vp = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, vp, vp, vp, vp, vp]
-    fn.restype = ctypes.c_int
-    return fn
-
-
 def load_pricing_kernel():
     """Bind the masked pricing-statistics kernel, or ``None`` (numpy path)."""
     lib = _load_lib()
@@ -590,9 +457,7 @@ def load_batch_kernel():
 
     Signature: ``(n_comps, desc_addr, t_now, remaining_addr,
     next_out_addr)`` where ``desc_addr`` points at ``n_comps``
-    16-slot int64 component descriptors (see the C source).  Disjoint
-    descriptor ranges may be solved concurrently: ctypes releases the
-    GIL around the call and every output slice is component-private.
+    16-slot int64 component descriptors (see the C source).
     """
     lib = _load_lib()
     if lib is None:
@@ -631,7 +496,6 @@ def warm() -> dict:
     """
     return {
         "waterfill": load_kernel() is not None,
-        "maxmin_indexed": load_indexed_kernel() is not None,
         "price_masked": load_pricing_kernel() is not None,
         "waterfill_batch": load_batch_kernel() is not None,
         "sweep_comp": load_sweep_kernel() is not None,

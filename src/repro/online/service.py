@@ -56,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import socket
 import time
 from typing import Iterable, Sequence
@@ -96,6 +97,9 @@ class OnlineService:
             t = self._wall_now()
         else:
             t = float(payload.get("t", self.sim.engine.now))
+            # max(nan, now) is nan, and nan/inf would wedge the engine
+            if not math.isfinite(t):
+                raise ValueError(f"arrival time must be finite, got {t!r}")
         # the engine cannot rewind; a late-stamped virtual arrival joins now
         return max(t, self.sim.engine.now)
 
@@ -120,9 +124,9 @@ class OnlineService:
         scenario = _scenario_from_workload(
             workload, sample=int(payload.get("sample", 0)))
         spec = _spec_from_algorithm(payload.get("algorithm", "hcpa"))
+        arrival = self._arrival_time(payload)   # validate before any state
         job_id = str(payload.get("job_id", f"srv-{self._n_submitted:05d}"))
         self._n_submitted += 1
-        arrival = self._arrival_time(payload)
         job = JobArrival(job_id=job_id, arrival_time=arrival,
                          scenario=scenario, spec=spec)
         self._writers[job_id] = writer

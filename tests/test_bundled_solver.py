@@ -3,7 +3,7 @@
 Three solvers must agree on every flow set: the reference
 :func:`maxmin_rates` (progressive filling over hashable links), the
 simulator's per-flow :func:`_waterfill`, and the bundled
-:func:`maxmin_rates_bundled` / :func:`waterfill_bundled` fast path.  The
+:func:`waterfill_bundled` fast path.  The
 golden tests additionally pin the simulator's end-to-end behaviour: the
 bundled fast path must reproduce the pre-optimization reference path
 event-for-event.
@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.maxmin import (
-    maxmin_rates,
-    maxmin_rates_bundled,
-    maxmin_rates_indexed,
-    waterfill_bundled,
-)
+from repro.network.maxmin import maxmin_rates, waterfill_bundled
 from repro.simulation.simulator import FluidSimulator, _waterfill
 
 
@@ -52,6 +47,31 @@ def shared_route_problems(draw):
     return routes, capacities, caps
 
 
+def bundled_rates(routes, capacities, caps=None):
+    """Per-flow Max-Min rates through :func:`waterfill_bundled`.
+
+    Flows with identical (route, rate cap) form one bundle carrying a
+    multiplicity; the per-bundle rate is broadcast back to every flow.
+    """
+    n = len(routes)
+    caps = np.full(n, np.inf) if caps is None else np.asarray(caps, float)
+    bundles: dict[tuple, int] = {}
+    bundle_of = np.empty(n, dtype=np.intp)
+    for i, route in enumerate(routes):
+        bundle_of[i] = bundles.setdefault((tuple(route), float(caps[i])),
+                                          len(bundles))
+    keys = list(bundles)
+    lengths = np.array([len(r) for r, _ in keys], dtype=np.intp)
+    ptr = np.zeros(len(keys) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=ptr[1:])
+    flat = np.array([li for r, _ in keys for li in r], dtype=np.intp)
+    mult = np.bincount(bundle_of, minlength=len(keys))
+    rates = waterfill_bundled(flat, ptr, mult,
+                              np.asarray(capacities, dtype=float),
+                              np.array([c for _, c in keys]))
+    return rates[bundle_of]
+
+
 def _reference_rates(routes, capacities, caps):
     named = [[f"l{li}" for li in r] for r in routes]
     cap_map = {f"l{i}": c for i, c in enumerate(capacities)}
@@ -63,16 +83,26 @@ class TestBundledSolverEquivalence:
     @given(shared_route_problems())
     def test_bundled_matches_reference(self, problem):
         routes, capacities, caps = problem
-        fast = maxmin_rates_bundled(routes, capacities, caps)
+        fast = bundled_rates(routes, capacities, caps)
         ref = _reference_rates(routes, capacities, caps)
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=120, deadline=None)
     @given(shared_route_problems())
     def test_bundled_matches_indexed(self, problem):
+        """Deduplicated bundles ≡ the per-flow solve over index arrays."""
         routes, capacities, caps = problem
-        fast = maxmin_rates_bundled(routes, capacities, caps)
-        ref = maxmin_rates_indexed(routes, capacities, caps)
+        fast = bundled_rates(routes, capacities, caps)
+        entry_links = np.array([li for r in routes for li in r],
+                               dtype=np.intp)
+        entry_flow = np.array([i for i, r in enumerate(routes)
+                               for _ in r], dtype=np.intp)
+        per_flow = _waterfill(entry_links, entry_flow, len(routes),
+                              capacities, caps)
+        # the per-flow solver needs a link to limit a flow: route-less
+        # flows run at their own cap, as the simulator's local copies do
+        empty = np.array([not r for r in routes])
+        ref = np.where(empty, caps, per_flow)
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=120, deadline=None)
@@ -121,56 +151,34 @@ class TestBundledSolverEquivalence:
         np.testing.assert_allclose(rates[1], 3.0)
 
     def test_empty_route_is_cap_limited(self):
-        rates = maxmin_rates_bundled([[], [0]], np.array([10.0]),
-                                     np.array([4.0, np.inf]))
+        rates = bundled_rates([[], [0]], np.array([10.0]),
+                              np.array([4.0, np.inf]))
         np.testing.assert_allclose(rates, [4.0, 10.0])
 
     def test_no_flows(self):
-        assert len(maxmin_rates_bundled([], np.array([1.0]))) == 0
+        assert len(bundled_rates([], np.array([1.0]))) == 0
 
     def test_cap_fix_uses_csr_offsets(self):
-        """maxmin_rates_indexed cap branch: shared-route capped flows."""
+        """Capped flows on overlapping mixed-length (CSR) routes."""
         capacities = np.array([10.0, 10.0, 10.0])
         routes = [[0, 1], [1, 2], [0, 2], [1]]
         caps = np.array([1.0, 2.0, np.inf, np.inf])
-        got = maxmin_rates_indexed(routes, capacities, caps)
+        got = bundled_rates(routes, capacities, caps)
         ref = _reference_rates(routes, capacities, caps)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 class TestIndexedKernelParity:
-    """The compiled per-flow solver must equal numpy to the bit (PR 7)."""
+    """The compiled kernels over indexed (CSR) arrays load as one unit.
 
-    def test_indexed_kernel_matches_numpy_bitwise(self):
-        from repro.network import _ckernel, maxmin
-
-        if maxmin._indexed_kernel() is None:
-            pytest.skip(f"no compiled kernel ({_ckernel.kernel_status})")
-        rng = np.random.default_rng(11)
-        for _ in range(120):
-            n_links = int(rng.integers(1, 30))
-            capacities = rng.uniform(0.5, 100.0, n_links)
-            n = int(rng.integers(0, 40))
-            routes = [list(rng.integers(0, n_links,
-                                        int(rng.integers(0, 5))))
-                      for _ in range(n)]
-            caps = np.where(rng.random(n) < 0.4,
-                            rng.uniform(0.01, 20.0, n), np.inf)
-            fast = maxmin.maxmin_rates_indexed(routes, capacities, caps)
-            saved = maxmin._INDEXED_KERNEL
-            try:
-                maxmin._INDEXED_KERNEL = None
-                slow = maxmin.maxmin_rates_indexed(routes, capacities,
-                                                   caps)
-            finally:
-                maxmin._INDEXED_KERNEL = saved
-            assert fast.tobytes() == slow.tobytes()
+    Bitwise parity of the compiled per-component solve with numpy lives
+    in ``TestCompiledKernelParity`` of the lazy-engine suite.
+    """
 
     def test_kill_switch_disables_indexed_kernel(self, monkeypatch):
         from repro.network import _ckernel
 
         monkeypatch.setenv("REPRO_NO_C_KERNEL", "1")
-        assert _ckernel.load_indexed_kernel() is None
         assert _ckernel.load_kernel() is None
         assert "REPRO_NO_C_KERNEL" in _ckernel.kernel_status
 
@@ -178,13 +186,11 @@ class TestIndexedKernelParity:
         from repro.network import _ckernel
 
         status = _ckernel.warm()
-        assert set(status) == {"waterfill", "maxmin_indexed",
-                               "price_masked", "waterfill_batch",
-                               "sweep_comp", "status"}
+        assert set(status) == {"waterfill", "price_masked",
+                               "waterfill_batch", "sweep_comp", "status"}
         # every entry point lives in the one shared object, so they are
         # all available or none is — the batch and sweep kernels must
         # precompile exactly when the original waterfill kernel does
-        assert status["waterfill"] == status["maxmin_indexed"]
         assert status["waterfill"] == status["price_masked"]
         assert status["waterfill"] == status["waterfill_batch"]
         assert status["waterfill"] == status["sweep_comp"]

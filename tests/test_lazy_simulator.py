@@ -14,23 +14,30 @@ the eager engines it replaced:
   threshold window, e.g. the numerically symmetric halves of a
   ``gcd > 1`` redistribution band — the golden tests pin exact event
   counts on the canonical scenarios where the engines agree).
+
+The drain-heavy scatter workload (one fat root fanning into disjoint
+chains) exercises pair-row resurrection and tombstone compaction on one
+large merged component.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.bench import (
     dense_dag_schedule,
     sparse_multicluster_schedule,
 )
+from repro.dag.task import Task, TaskGraph
 from repro.experiments.scenarios import Scenario
+from repro.platforms.cluster import Cluster
 from repro.platforms.grid5000 import CHTI, GRELON
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.mapping import ListScheduler
+from repro.scheduling.schedule import Schedule, ScheduleEntry
 from repro.simulation.simulator import FluidSimulator
 
 
@@ -89,6 +96,10 @@ class TestEngineEquivalence:
         sample=st.integers(0, 3),
         hierarchical=st.booleans(),
     )
+    # regression: same-instant completions used to be delivered in
+    # component row order, which pair-row resurrection rearranges
+    @example(family="irregular", n_tasks=21, width=0.2, density=0.2,
+             regularity=0.8, jump=2, sample=0, hierarchical=False)
     def test_lazy_full_reference_agree_on_random_draws(
             self, family, n_tasks, width, density, regularity, jump,
             sample, hierarchical):
@@ -233,25 +244,29 @@ class TestCompiledKernelParity:
             np.testing.assert_array_equal(fast, slow)
 
 
+def _link_components(flat, ptr):
+    """Link-connected component label of every bundle (union-find)."""
+    from repro.network.maxmin import dsu_find
+
+    n = len(ptr) - 1
+    parent = list(range(n))
+    owner: dict[int, int] = {}
+    for b in range(n):
+        for li in flat[ptr[b]:ptr[b + 1]].tolist():
+            if li in owner:
+                parent[dsu_find(parent, b)] = dsu_find(parent, owner[li])
+            else:
+                owner[li] = b
+    return np.array([dsu_find(parent, b) for b in range(n)])
+
+
 class TestComponentDecomposition:
-    def test_bundle_components_labels(self):
-        from repro.network.maxmin import bundle_components
-
-        # bundles: {0,1} share link 3; {2} isolated; {3} empty route
-        flat = np.array([0, 3, 3, 1, 2], dtype=np.intp)
-        ptr = np.array([0, 2, 4, 5, 5], dtype=np.intp)
-        labels = bundle_components(flat, ptr)
-        assert labels[0] == labels[1]
-        assert labels[2] not in (labels[0], labels[3])
-        assert labels[3] not in (labels[0], labels[2])
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_by_component_solve_equals_global(self, data):
-        from repro.network.maxmin import (
-            waterfill_bundled,
-            waterfill_bundled_by_component,
-        )
+        """Max-Min decomposes over link-connected components — the
+        property the lazy component engine rests on."""
+        from repro.network.maxmin import waterfill_bundled
 
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n_links = int(rng.integers(2, 10))
@@ -265,6 +280,84 @@ class TestComponentDecomposition:
                         rng.uniform(0.1, 20.0, n_b), np.inf)
         capacities = rng.uniform(0.5, 50.0, n_links)
         whole = waterfill_bundled(flat, ptr, mult, capacities, caps)
-        split = waterfill_bundled_by_component(flat, ptr, mult, capacities,
-                                               caps)
+        labels = _link_components(flat, ptr)
+        split = np.zeros(n_b)
+        for lbl in np.unique(labels):
+            sel = np.nonzero(labels == lbl)[0]
+            sub_ptr = np.zeros(len(sel) + 1, dtype=np.intp)
+            np.cumsum(lens[sel], out=sub_ptr[1:])
+            sub_flat = (np.concatenate([flat[ptr[b]:ptr[b + 1]]
+                                        for b in sel])
+                        if sub_ptr[-1] else np.empty(0, dtype=np.intp))
+            split[sel] = waterfill_bundled(sub_flat, sub_ptr, mult[sel],
+                                           capacities, caps[sel])
         np.testing.assert_allclose(split, whole, rtol=1e-9, atol=1e-12)
+
+
+def scatter_schedule(n_chains: int = 4, chain_len: int = 6,
+                     slot: int = 16, wide: int = 9,
+                     narrow: int = 5) -> Schedule:
+    """One fat root scatters into ``n_chains`` disjoint proc slots.
+
+    ``t0`` runs on every processor, so its 64→9 redistribution bands
+    share every source uplink and merge into a single ~300-row
+    component (``gcd(64, 9) = 1`` keeps each band one connected block);
+    staggered scatter sizes then drain it chain by chain, leaving
+    tombstone rows that later releases resurrect or compaction drops.
+    Each chain alternates a 9-proc and a 5-proc task inside its own
+    16-proc slot.
+    """
+    procs_all = n_chains * slot
+    cluster = Cluster(name="scatter", num_procs=procs_all,
+                      speed_flops=1e9)
+    graph = TaskGraph(name="scatter")
+    graph.add_task(Task(name="t0", data_elements=1e6,
+                        flops=procs_all * 1e9, alpha=0.0))
+    schedule = Schedule(graph=graph, cluster=cluster)
+    d0 = 1.0
+    schedule.add(ScheduleEntry(task="t0", procs=tuple(range(procs_all)),
+                               start=0.0, finish=d0))
+    for k in range(n_chains):
+        base = k * slot
+        prev, t = "t0", d0
+        for i in range(chain_len):
+            name = f"c{k}_{i}"
+            graph.add_task(Task(name=name, data_elements=1e6,
+                                flops=2e8, alpha=0.0))
+            size = (4e6 * (1 + 2 * k)) if i == 0 else 24e6
+            graph.add_edge(prev, name, data_bytes=size)
+            procs = (tuple(range(base, base + wide)) if i % 2 == 0
+                     else tuple(range(base + wide, base + wide + narrow)))
+            schedule.add(ScheduleEntry(task=name, procs=procs,
+                                       start=t, finish=t + 0.2))
+            t += 0.2
+            prev = name
+    schedule.validate()
+    return schedule
+
+
+class TestDrainHeavy:
+    def test_scatter_lazy_equals_full_oracle(self):
+        schedule = scatter_schedule()
+        lazy = FluidSimulator(schedule, collect_flow_traces=True).run()
+        full = FluidSimulator(schedule, lazy=False,
+                              collect_flow_traces=True).run()
+        assert_byte_identical(lazy, full)
+        assert lazy.solve_rows > 0
+
+    def test_splits_counter_is_always_zero(self):
+        """``splits`` survives only as a compatibility counter."""
+        res = FluidSimulator(scatter_schedule()).run()
+        assert res.splits == 0
+        assert res.solve_rows > 0
+
+    def test_live_engine_splits_counter_is_always_zero(self):
+        """The live engine's counter reads 0 after the scatter drains."""
+        from repro.online.live import LiveFluidEngine
+
+        schedule = scatter_schedule()
+        eng = LiveFluidEngine(schedule.cluster)
+        eng.inject("j0", schedule, 0.0)
+        eng.drain()
+        assert eng.splits == 0
+        assert eng.solve_rows > 0

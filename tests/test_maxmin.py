@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.maxmin import maxmin_rates, maxmin_rates_indexed
+from repro.network.maxmin import maxmin_rates, waterfill_bundled
 
 
 class TestExactCases:
@@ -88,6 +88,18 @@ def flow_problems(draw):
     return routes, capacities
 
 
+def _singleton_bundles(flow_links, capacities, rate_caps=None):
+    """Per-flow rates from :func:`waterfill_bundled`, one bundle a flow."""
+    lengths = np.array([len(r) for r in flow_links], dtype=np.intp)
+    ptr = np.zeros(len(flow_links) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=ptr[1:])
+    flat = np.array([li for r in flow_links for li in r], dtype=np.intp)
+    caps = (np.full(len(flow_links), np.inf) if rate_caps is None
+            else rate_caps)
+    return waterfill_bundled(flat, ptr, np.ones(len(flow_links)),
+                             capacities, caps)
+
+
 class TestProperties:
     @settings(max_examples=80, deadline=None)
     @given(flow_problems())
@@ -99,13 +111,14 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     @given(flow_problems())
     def test_indexed_matches_reference(self, problem):
-        """The vectorised solver must agree with the reference solver."""
+        """The vectorised solver over integer-indexed links must agree
+        with the reference solver."""
         routes, capacities = problem
         link_ids = sorted(capacities)
         index = {l: i for i, l in enumerate(link_ids)}
         cap_arr = np.array([capacities[l] for l in link_ids])
         ref = maxmin_rates(routes, capacities)
-        fast = maxmin_rates_indexed(
+        fast = _singleton_bundles(
             [[index[l] for l in r] for r in routes], cap_arr)
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-12)
 
@@ -118,7 +131,7 @@ class TestProperties:
         cap_arr = np.array([capacities[l] for l in link_ids])
         caps = [cap] * len(routes)
         ref = maxmin_rates(routes, capacities, rate_caps=caps)
-        fast = maxmin_rates_indexed(
+        fast = _singleton_bundles(
             [[index[l] for l in r] for r in routes], cap_arr,
             np.array(caps))
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-12)

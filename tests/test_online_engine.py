@@ -191,6 +191,23 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="rewind"):
             eng.advance_until(5.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_times_raise_without_state_change(self, bad):
+        eng = LiveFluidEngine(GRILLON)
+        eng.inject("j0", _batch_schedule(), 0.0)
+        eng.advance_until(1.0)
+        now, events = eng.now, eng.events
+        with pytest.raises(ValueError, match="finite"):
+            eng.advance_until(bad)
+        with pytest.raises(ValueError, match="finite"):
+            eng.inject("j1", _batch_schedule(), bad)
+        assert (eng.now, eng.events) == (now, events)
+        assert list(eng.jobs) == ["j0"]
+        sim = OnlineSimulator(GRILLON)
+        with pytest.raises(ValueError, match="finite"):
+            sim.submit(JobArrival("j0", bad, DENSE, HCPA))
+        assert sim.records() == [] and sim.engine.now == 0.0
+
     def test_advance_returns_newly_finalised_records(self):
         sim = OnlineSimulator(GRILLON)
         sim.submit(JobArrival("j0", 0.0, DENSE, HCPA))

@@ -110,6 +110,33 @@ class TestProtocol:
         assert metrics["n_finished"] == 1
         assert server.join()
 
+    def test_non_finite_times_get_error_replies(self):
+        """inf/NaN times (json.loads accepts both) must not wedge the
+        service's only event loop, nor count as a submission."""
+        server = _Server(OnlineSimulator(GRILLON))
+        lines = [b'{"op": "advance", "t": 1e999}',
+                 b'{"op": "advance", "t": NaN}',
+                 b'{"op": "submit", "workload": {"family": "strassen"},'
+                 b' "t": NaN}',
+                 b'{"op": "stats"}',
+                 b'{"op": "submit", "workload": {"family": "strassen"}}',
+                 b'{"op": "shutdown"}']
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            rfile = sock.makefile("r", encoding="utf-8")
+            replies = []
+            for line in lines:
+                sock.sendall(line + b"\n")
+                replies.append(json.loads(rfile.readline()))
+        assert [r["type"] for r in replies[:3]] == ["error"] * 3
+        assert all("finite" in r["error"] for r in replies[:3])
+        assert replies[3] == {"type": "stats", "now": 0.0, "in_flight": 0,
+                              "metrics": replies[3]["metrics"]}
+        # the rejected submit did not consume a job id
+        assert replies[4]["job_id"] == "srv-00000"
+        assert replies[5]["type"] == "bye"
+        assert server.join()
+
     def test_drain_streams_records_before_final_reply(self):
         server = _Server(OnlineSimulator(GRILLON))
         with socket.create_connection((server.host, server.port),
