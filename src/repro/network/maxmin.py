@@ -35,6 +35,7 @@ component an event touched.
 
 from __future__ import annotations
 
+import os
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -139,8 +140,14 @@ _C_KERNEL = _KERNEL_UNSET   # lazily resolved on the first bundled solve
 
 
 def _kernel():
-    """The compiled waterfilling kernel, or ``None`` (numpy fallback)."""
+    """The compiled waterfilling kernel, or ``None`` (numpy fallback).
+
+    The binding is memoised, but ``REPRO_NO_C_KERNEL`` is re-checked on
+    every call, as the other kernel loaders do, so setting it later in
+    the process still forces the numpy path."""
     global _C_KERNEL
+    if os.environ.get("REPRO_NO_C_KERNEL"):
+        return None
     if _C_KERNEL is _KERNEL_UNSET:
         from repro.network._ckernel import load_kernel
 

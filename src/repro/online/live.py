@@ -1,4 +1,4 @@
-"""The live fluid engine: the batch component simulator, made injectable.
+"""The live fluid engine: the batch simulator's engine, made injectable.
 
 :class:`~repro.simulation.simulator.FluidSimulator` replays one complete
 schedule and returns.  The online mode needs the same physics — Max-Min
@@ -7,22 +7,23 @@ with jobs *entering mid-flight*: a new DAG's tasks append to the live
 processor queues and its redistribution flows join the live component
 registry, re-solving only the components they touch.
 
-:class:`LiveFluidEngine` is that engine.  It drives the *same*
-:class:`~repro.simulation.simulator._ComponentRegistry` the batch
-engine runs on — the component union-find, event heap, lazy re-solve
-and local link indexing live in one implementation — plus two
-operations the batch loop never needed:
+:class:`LiveFluidEngine` is the simulator's own engine
+(:class:`~repro.simulation.simulator._FluidEngine`: task bookkeeping,
+edge→flow expansion, event loop and component registry) with a guarded
+public API on top:
 
 * :meth:`inject` — add a scheduled job at the current virtual time
-  (tasks, per-processor queue entries, edge flows, pair table rows);
+  (finite, not in the past, under a fresh job id);
 * :meth:`advance_until` — run the event loop up to a target time and
-  stop, so arrivals can interleave with in-flight events.
+  stop, so arrivals can interleave with in-flight events;
+* :meth:`drain` and :meth:`pop_completed_jobs` — finish every job and
+  collect per-job completions (:class:`LiveJobState`).
 
 Equivalence contract
 --------------------
-Because the component machinery is shared code (not a transplant), a
-single job injected at t=0 and drained produces byte-identical traces
-to ``simulate(schedule)`` — the property ``tests/test_online_engine.py``
+Because the engine is shared code (not a transplant), a single job
+injected at t=0 and drained produces byte-identical traces to
+``simulate(schedule)`` — the property ``tests/test_online_engine.py``
 pins against the dense-DAG golden scenario.
 
 Tasks are namespaced ``"<job_id>/<task>"`` internally; a uniform prefix
@@ -32,22 +33,11 @@ single-job equivalence is exact and not merely numerical.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
-import numpy as np
-
-from repro.redistribution.matrix import redistribution_flows
 from repro.scheduling.schedule import Schedule
-from repro.simulation.simulator import (
-    _REL_BYTES_EPS,
-    _TIME_EPS,
-    _ComponentRegistry,
-    _grow,
-)
-from repro.simulation.trace import FlowTrace, TaskTrace
+from repro.simulation.simulator import _TIME_EPS, _FluidEngine
 
 __all__ = ["LiveFluidEngine", "LiveJobState"]
 
@@ -74,7 +64,7 @@ class LiveJobState:
         return self.n_done == self.n_tasks
 
 
-class LiveFluidEngine:
+class LiveFluidEngine(_FluidEngine):
     """Persistent, injectable fluid simulation over one platform.
 
     Parameters
@@ -92,97 +82,12 @@ class LiveFluidEngine:
         byte-identical full-solve oracle the batch engine offers.
     """
 
-    #: always 0: dynamic component splits were removed; the counter stays
-    #: for readers of older results
-    splits = 0
-
     def __init__(self, cluster, *, collect_flow_traces: bool = False,
                  lazy: bool = True) -> None:
-        self.cluster = cluster
-        self.topo = cluster.topology
-        self.capacities = self.topo.capacity_array
-        self.lazy = lazy
-        self.collect_flow_traces = collect_flow_traces
-
-        # ---- pair tables (shared across jobs, keyed by (src, dst)) ---- #
-        self.pair_index: dict[tuple[int, int], int] = {}
-        self.pair_routes: list[tuple[int, ...]] = []
-        self.pair_cap: list[float] = []
-        self.pair_lat: list[float] = []
-
-        # ---- global flow arrays (amortised append) ---- #
-        self.nf = 0
-        self.size = np.empty(8, dtype=float)
-        self.remaining = np.empty(8, dtype=float)
-        self.done_threshold = np.empty(8, dtype=float)
-        self.lat = np.empty(8, dtype=float)
-        self.src = np.empty(8, dtype=np.intp)
-        self.dst = np.empty(8, dtype=np.intp)
-        self.edge_of = np.empty(8, dtype=np.intp)
-        self.pair_of = np.empty(8, dtype=np.intp)
-        self.release_time = np.empty(8, dtype=float)
-
-        # ---- shared component machinery (same class as batch) ---- #
-        self.reg = _ComponentRegistry(
-            self.capacities, self.pair_routes, self.pair_cap, lazy=lazy)
-        self.reg.bind(self.remaining, self.done_threshold)
-
-        # ---- task bookkeeping (dict-based _TaskBookkeeping) ---- #
-        self.edges: list[tuple[str, str]] = []   # global (namespaced) names
-        self.total = 0
-        self.exec_time: dict[str, float] = {}
-        self.procs_of: dict[str, tuple[int, ...]] = {}
-        self.succs: dict[str, list[str]] = {}
-        self.proc_queue: dict[int, list[str]] = {}
-        self.queue_pos: dict[int, int] = {}
-        self.preds_left: dict[str, int] = {}
-        self.flows_left: dict[str, int] = {}
-        self.edge_flows: dict[int, list[int]] = {}
-        self.out_edge_ids: dict[str, list[int]] = {}
-        self.started: set[str] = set()
-        self.done_tasks: set[str] = set()
-        self.task_start: dict[str, float] = {}
-        self.finish_heap: list[tuple[float, str]] = []
-        self.release_heap: list[tuple[float, int]] = []
-        self.traces: dict[str, TaskTrace] = {}
-        self.flow_traces: list[FlowTrace] = []
-        self.check_ready: set[str] = set()
-
-        # ---- jobs ---- #
+        super().__init__(cluster, collect_flow_traces=collect_flow_traces,
+                         lazy=lazy)
         self.jobs: dict[str, LiveJobState] = {}
-        self.job_of_task: dict[str, str] = {}
-        self._newly_completed: list[str] = []
 
-        self.now = 0.0
-        self.events = 0
-        self._loop_s = 0.0        # event-loop wall clock (advance/drain)
-
-    # solver counters live on the shared registry
-    @property
-    def solves_full(self) -> int:
-        return self.reg.solves_full
-
-    @property
-    def solves_component(self) -> int:
-        return self.reg.solves_component
-
-    @property
-    def solve_rows(self) -> int:
-        return self.reg.solve_rows
-
-    @property
-    def solve_s(self) -> float:
-        """Wall-clock seconds inside the rate re-solve phase."""
-        return self.reg.solve_s
-
-    @property
-    def event_s(self) -> float:
-        """Event-loop wall clock outside the solve phase."""
-        return self._loop_s - self.reg.solve_s
-
-    # ------------------------------------------------------------------ #
-    # injection
-    # ------------------------------------------------------------------ #
     def inject(self, job_id: str, schedule: Schedule, at: float) -> None:
         """Add a scheduled job's tasks and flows at virtual time ``at``.
 
@@ -195,212 +100,11 @@ class LiveFluidEngine:
         if at < self.now - _TIME_EPS:
             raise ValueError(
                 f"cannot inject {job_id!r} at t={at} (now={self.now})")
-        graph = schedule.graph
-        names = graph.task_names()
-        gname = {n: f"{job_id}/{n}" for n in names}
+        job = self.jobs[job_id] = LiveJobState(
+            job_id=job_id, inject_time=at,
+            n_tasks=schedule.graph.num_tasks)
+        self._add_schedule(schedule, at, prefix=f"{job_id}/", job=job)
 
-        for n in names:
-            g = gname[n]
-            self.exec_time[g] = schedule[n].duration
-            self.procs_of[g] = schedule[n].procs
-            self.preds_left[g] = len(graph.predecessors(n))
-            self.flows_left[g] = 0
-            self.succs[g] = [gname[s] for s in graph.successors(n)]
-            self.out_edge_ids[g] = []
-            self.job_of_task[g] = job_id
-        for p, entries in schedule.proc_timeline().items():
-            self.proc_queue.setdefault(p, []).extend(
-                gname[e.task] for e in entries)
-            self.queue_pos.setdefault(p, 0)
-
-        # expand edges into flows, in the batch _build_flows order, with
-        # pair ids resolved against the shared cross-job pair table
-        new_src: list[int] = []
-        new_dst: list[int] = []
-        new_size: list[float] = []
-        new_eid: list[int] = []
-        new_pid: list[int] = []
-        for u, v, data in graph.edges():
-            eid = len(self.edges)
-            self.edges.append((gname[u], gname[v]))
-            self.out_edge_ids[gname[u]].append(eid)
-            specs = redistribution_flows(schedule[u].procs, schedule[v].procs,
-                                         data)
-            for s in specs:
-                if s.data_bytes <= 0:
-                    continue
-                pid = self.pair_index.get((s.src, s.dst))
-                if pid is None:
-                    pid = len(self.pair_routes)
-                    self.pair_index[(s.src, s.dst)] = pid
-                    route = self.topo.route(s.src, s.dst)
-                    self.pair_cap.append(route.rate_cap_Bps)
-                    self.pair_lat.append(route.latency_s)
-                    self.pair_routes.append(
-                        self.topo.route_indices(s.src, s.dst))
-                    self.reg.comp_of_pair.append(-1)
-                new_src.append(s.src)
-                new_dst.append(s.dst)
-                new_size.append(s.data_bytes)
-                new_eid.append(eid)
-                new_pid.append(pid)
-
-        n_new = len(new_size)
-        base = self.nf
-        need = base + n_new
-        self.size = _grow(self.size, need)
-        self.remaining = _grow(self.remaining, need)
-        self.done_threshold = _grow(self.done_threshold, need)
-        # growth may reallocate: re-bind the registry's views (and the
-        # kernel-side raw addresses cached alongside them)
-        self.reg.bind(self.remaining, self.done_threshold)
-        self.lat = _grow(self.lat, need)
-        self.src = _grow(self.src, need)
-        self.dst = _grow(self.dst, need)
-        self.edge_of = _grow(self.edge_of, need)
-        self.pair_of = _grow(self.pair_of, need)
-        self.release_time = _grow(self.release_time, need)
-        if n_new:
-            sizes = np.array(new_size, dtype=float)
-            self.size[base:need] = sizes
-            self.remaining[base:need] = sizes
-            self.done_threshold[base:need] = np.maximum(
-                sizes * _REL_BYTES_EPS, 1e-12)
-            pid_arr = np.array(new_pid, dtype=np.intp)
-            # index the pair-latency list per new flow — materialising the
-            # whole pair table here would be O(total pairs) per inject
-            pl = self.pair_lat
-            self.lat[base:need] = [pl[p] for p in new_pid]
-            self.src[base:need] = new_src
-            self.dst[base:need] = new_dst
-            self.edge_of[base:need] = new_eid
-            self.pair_of[base:need] = pid_arr
-            self.release_time[base:need] = np.inf
-            for off, eid in enumerate(new_eid):
-                fid = base + off
-                self.edge_flows.setdefault(eid, []).append(fid)
-                self.flows_left[self.edges[eid][1]] += 1
-        self.nf = need
-
-        self.total += len(names)
-        self.jobs[job_id] = LiveJobState(job_id=job_id, inject_time=at,
-                                         n_tasks=len(names))
-        self.check_ready.update(gname.values())
-        self._start_ready(at)
-
-    # ------------------------------------------------------------------ #
-    # task bookkeeping (dict-based _TaskBookkeeping methods)
-    # ------------------------------------------------------------------ #
-    def _at_front(self, name: str) -> bool:
-        return all(
-            self.queue_pos[p] < len(self.proc_queue[p])
-            and self.proc_queue[p][self.queue_pos[p]] == name
-            for p in self.procs_of[name]
-        )
-
-    def _can_start(self, name: str) -> bool:
-        return (name not in self.started
-                and self.preds_left[name] == 0
-                and self.flows_left[name] == 0
-                and self._at_front(name))
-
-    def _start_task(self, name: str, now: float) -> None:
-        self.started.add(name)
-        self.task_start[name] = now
-        job = self.jobs[self.job_of_task[name]]
-        if job.start is None:
-            job.start = now
-        heapq.heappush(self.finish_heap, (now + self.exec_time[name], name))
-
-    def _finish_task(self, name: str, now: float) -> None:
-        self.done_tasks.add(name)
-        self.traces[name] = TaskTrace(task=name, procs=self.procs_of[name],
-                                      start=self.task_start[name], finish=now)
-        job = self.jobs[self.job_of_task[name]]
-        job.n_done += 1
-        if job.n_done == job.n_tasks:
-            job.completion = now
-            self._newly_completed.append(job.job_id)
-        for p in self.procs_of[name]:
-            self.queue_pos[p] += 1
-            pos = self.queue_pos[p]
-            if pos < len(self.proc_queue[p]):
-                self.check_ready.add(self.proc_queue[p][pos])
-        for succ in self.succs[name]:
-            self.preds_left[succ] -= 1
-            self.check_ready.add(succ)
-        for eid in self.out_edge_ids[name]:
-            for fid in self.edge_flows.get(eid, ()):  # release after latency
-                t_rel = now + self.lat[fid]
-                self.release_time[fid] = t_rel
-                heapq.heappush(self.release_heap, (t_rel, fid))
-
-    def _complete_flow(self, fid: int, now: float) -> None:
-        eid = int(self.edge_of[fid])
-        self.flows_left[self.edges[eid][1]] -= 1
-        self.check_ready.add(self.edges[eid][1])
-        if self.collect_flow_traces:
-            self.flow_traces.append(FlowTrace(
-                edge=self.edges[eid],
-                src=int(self.src[fid]),
-                dst=int(self.dst[fid]),
-                data_bytes=float(self.size[fid]),
-                release=float(self.release_time[fid]),
-                finish=now))
-
-    def _start_ready(self, now: float) -> None:
-        for name in self.check_ready:
-            if name not in self.started and self._can_start(name):
-                self._start_task(name, now)
-        self.check_ready.clear()
-
-    # ------------------------------------------------------------------ #
-    # event loop
-    # ------------------------------------------------------------------ #
-    def _peek_time(self) -> float:
-        """Earliest pending event time (inf if idle), skipping stale
-        component-heap entries exactly as the batch loop's peek does."""
-        t_next = self.reg.peek()
-        if self.finish_heap and self.finish_heap[0][0] < t_next:
-            t_next = self.finish_heap[0][0]
-        if self.release_heap and self.release_heap[0][0] < t_next:
-            t_next = self.release_heap[0][0]
-        return t_next
-
-    def _step(self) -> None:
-        """Process every event at ``self.now`` — the batch loop body."""
-        now = self.now
-        reg = self.reg
-        finish_heap = self.finish_heap
-        release_heap = self.release_heap
-
-        self.events += 1
-        reg.begin_event()
-
-        # 1) flow completions (component sweep + local flows)
-        set_changed = reg.sweep(now, self._complete_flow)
-
-        # 2) task completions
-        while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
-            _, name = heapq.heappop(finish_heap)
-            self._finish_task(name, now)
-
-        # 3) flow releases
-        while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-            _, fid = heapq.heappop(release_heap)
-            set_changed = True
-            reg.release(int(fid), int(self.pair_of[fid]), now)
-
-        # 4) newly startable tasks
-        self._start_ready(now)
-
-        # 5) re-solve dirty (lazy) or all live (oracle) components
-        if set_changed:
-            reg.resolve(now)
-
-    # ------------------------------------------------------------------ #
-    # public driving interface
-    # ------------------------------------------------------------------ #
     def advance_until(self, t: float) -> None:
         """Process every pending event at or before ``t``; the virtual
         clock ends at ``max(now, t)``.  Idle gaps just advance the clock —
@@ -410,32 +114,13 @@ class LiveFluidEngine:
         _check_time(t)
         if t < self.now - _TIME_EPS:
             raise ValueError(f"cannot rewind from t={self.now} to t={t}")
-        t0 = perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                t_next = self._peek_time()
-                if t_next > t:
-                    break
-                self.now = t_next
-                self._step()
-        self._loop_s += perf_counter() - t0
+        self._run(t)
         if t > self.now:
             self.now = t
 
     def drain(self) -> None:
         """Run the event loop until every injected task has finished."""
-        t0 = perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while len(self.done_tasks) < self.total:
-                t_next = self._peek_time()
-                if not math.isfinite(t_next):  # pragma: no cover - deadlock
-                    raise RuntimeError(
-                        f"simulation stalled at t={self.now:g}: "
-                        f"{self.total - len(self.done_tasks)} tasks never "
-                        f"became runnable")
-                self.now = t_next
-                self._step()
-        self._loop_s += perf_counter() - t0
+        self._run()
 
     def pop_completed_jobs(self) -> list[str]:
         """Job ids that finished since the last call (completion order)."""
@@ -446,10 +131,3 @@ class LiveFluidEngine:
     @property
     def idle(self) -> bool:
         return len(self.done_tasks) == self.total
-
-    def makespan(self) -> float:
-        """Span from the earliest task start to the latest finish."""
-        if not self.traces:
-            return 0.0
-        return (max(tr.finish for tr in self.traces.values())
-                - min(tr.start for tr in self.traces.values()))

@@ -126,11 +126,14 @@ class OnlineService:
         spec = _spec_from_algorithm(payload.get("algorithm", "hcpa"))
         arrival = self._arrival_time(payload)   # validate before any state
         job_id = str(payload.get("job_id", f"srv-{self._n_submitted:05d}"))
-        self._n_submitted += 1
         job = JobArrival(job_id=job_id, arrival_time=arrival,
                          scenario=scenario, spec=spec)
-        self._writers[job_id] = writer
+        # the simulator rejects a duplicate id before it changes any
+        # state; the service's own state follows only an accepted submit,
+        # so a duplicate never takes over the first submitter's records
         admitted = self.sim.submit(job)
+        self._n_submitted += 1
+        self._writers[job_id] = writer
         return {"type": "ack", "job_id": job_id, "admitted": admitted,
                 "t": arrival}
 

@@ -22,6 +22,13 @@ estimate — the effect §IV-D discusses.
 
 Implementation notes
 --------------------
+One engine (:class:`_FluidEngine`) owns the task bookkeeping, the
+edge→flow expansion and the event loop; :class:`FluidSimulator` adds its
+schedule as one job at t=0 and runs it to completion, and the online
+:class:`~repro.online.live.LiveFluidEngine` is the same engine with jobs
+injected mid-flight.  Modes differ only in the *rate layer* the loop
+calls (``peek`` / ``sweep`` / ``release`` / ``resolve``).
+
 A dense 100-task DAG spawns tens of thousands of flows, so per-flow state
 lives in numpy arrays and the Max-Min rates are solved over the *unique
 active (src, dst) pairs* with multiplicities
@@ -52,9 +59,10 @@ component at every flow-set change; since the extra solves see identical
 inputs they produce identical rates, which makes the two modes
 **byte-identical** (asserted by the property tests) while ``lazy=False``
 actually performs the full-solve work and is therefore a true oracle for
-the dirty-tracking.  ``use_bundling=False`` selects the original
-per-flow solver and global scan loop — the reference implementation kept
-as the end-to-end equivalence oracle for the golden tests.
+the dirty-tracking.  ``use_bundling=False`` plugs in the per-flow rate
+layer (:class:`_FlowRates`): every flow-set change re-solves all active
+flows by per-flow waterfilling — the reference kept as the end-to-end
+equivalence oracle for the golden tests.
 """
 
 from __future__ import annotations
@@ -412,9 +420,8 @@ class _ComponentRegistry:
     component event heap and the local (route-less) flow pseudo-heap, and
     performs the event-loop phases that touch components: the completion
     sweep (:meth:`sweep`), flow releases (:meth:`release`) and the
-    re-solve (:meth:`resolve`).  The batch :class:`FluidSimulator` and
-    the online :class:`~repro.online.live.LiveFluidEngine` both drive
-    this one implementation, so the two engines cannot drift apart.
+    re-solve (:meth:`resolve`) — the rate layer :class:`_FluidEngine`
+    drives for ``lazy=True`` and ``lazy=False``.
 
     Components merge eagerly and never split while alive: a drained
     component may be coarser than the true link connectivity, which
@@ -424,7 +431,8 @@ class _ComponentRegistry:
     ``remaining`` / ``done_threshold`` are *bound* by the owning engine
     (and re-bound after amortised growth): the registry always reads the
     arrays the engine currently owns.  ``pair_routes`` / ``pair_cap`` are
-    held by reference too — the live engine appends to them on inject.
+    held by reference too — the engine appends to them as schedules are
+    added, then calls :meth:`sync_pairs`.
     """
 
     def __init__(self, capacities: np.ndarray, pair_routes, pair_cap, *,
@@ -475,6 +483,11 @@ class _ComponentRegistry:
         self._rows_addr = self._rows.ctypes.data
 
     # ------------------------------------------------------------------ #
+    def sync_pairs(self) -> None:
+        """Give pairs appended to the shared pair table no component."""
+        self.comp_of_pair.extend(
+            [-1] * (len(self.pair_cap) - len(self.comp_of_pair)))
+
     def find(self, cid: int) -> int:
         return dsu_find(self.parent, cid)
 
@@ -501,17 +514,6 @@ class _ComponentRegistry:
         self.done_threshold = done_threshold
         self._rem_addr = remaining.ctypes.data
         self._thr_addr = done_threshold.ctypes.data
-
-    def begin_event(self) -> None:
-        """Open a new event: clears the touched set (epoch bump makes
-        the per-component membership test O(1) instead of a list scan)."""
-        self.touched.clear()
-        self._epoch += 1
-
-    def _touch(self, comp: _Component) -> None:
-        if comp.touch_epoch != self._epoch:
-            comp.touch_epoch = self._epoch
-            self.touched.append(comp)
 
     def _arena(self, comp: _Component) -> np.ndarray:
         """The component's packed kernel descriptor, (re)built on demand.
@@ -738,15 +740,21 @@ class _ComponentRegistry:
         return t_next
 
     def sweep(self, now: float, complete_flow) -> bool:
-        """Flow completions: pop every component whose earliest projection
-        fired, materialise it, sweep its flows; then the local
-        (route-less) flows.  Returns whether the flow set changed.
+        """Open the event at ``now`` and sweep its flow completions: pop
+        every component whose earliest projection fired, materialise it,
+        sweep its flows; then the local (route-less) flows.  Returns
+        whether the flow set changed.
+
+        Opening the event clears the touched set; the epoch bump makes
+        the per-component membership test O(1) instead of a list scan.
 
         Completions are buffered and delivered in ascending flow id —
         the order the per-flow reference engine uses (its active set is
         kept fid-sorted) — so the trace order of same-instant
         completions never depends on component row layout, which
         merges, compaction and row resurrection rearrange."""
+        self.touched.clear()
+        self._epoch += 1
         comps = self.comps
         comp_heap = self.comp_heap
         remaining = self.remaining
@@ -853,7 +861,7 @@ class _ComponentRegistry:
                         and comp.n_rows > 64):
                     for dead_pid in comp.compact_rows():
                         self.comp_of_pair[dead_pid] = -1
-                if comp.touch_epoch != self._epoch:  # inlined _touch
+                if comp.touch_epoch != self._epoch:  # mark touched
                     comp.touch_epoch = self._epoch
                     self.touched.append(comp)
 
@@ -892,7 +900,7 @@ class _ComponentRegistry:
                 comp, row = self.resurrect_pair(pid, comp, row, now)
         comp.mult[row] += 1
         comp.add_flow(fid, row)
-        if comp.touch_epoch != self._epoch:     # inlined _touch (hot)
+        if comp.touch_epoch != self._epoch:     # mark touched
             comp.touch_epoch = self._epoch
             self.touched.append(comp)
 
@@ -985,113 +993,447 @@ class _ComponentRegistry:
         self.push_comp(comp)
 
 
-class _TaskBookkeeping:
-    """Task-readiness and trace scaffolding shared by both engines.
+class _FlowRates:
+    """Per-flow Max-Min rates over the active set (``use_bundling=False``).
 
-    The replayed runtime semantics — a task starts when it is at the
-    front of every processor queue, all predecessors finished and all
-    incoming flows arrived; flows release one latency after the producer
-    finishes — live here once, so the lazy component engine and the
-    per-flow reference oracle cannot drift apart.
+    The reference rate layer: every flow-set change re-solves *all* active
+    flows with the per-flow :func:`_waterfill`, and a flow-set-neutral
+    event reprojects the next completion from the materialised bytes.  It
+    answers the same ``peek`` / ``sweep`` / ``release`` / ``resolve``
+    calls as :class:`_ComponentRegistry`, so the oracle shares the
+    engine's bookkeeping and loop while its rates and completion times
+    stay an independent computation.
     """
 
-    def __init__(self, sim: "FluidSimulator", fl: dict) -> None:
-        graph, schedule = sim.graph, sim.schedule
-        self.graph = graph
-        self.collect_flow_traces = sim.collect_flow_traces
-        self.fl = fl
-        self.edges = fl["edges"]
-        names = graph.task_names()
-        self.total = graph.num_tasks
-        self.exec_time = {n: schedule[n].duration for n in names}
-        self.procs_of = {n: schedule[n].procs for n in names}
-        self.proc_queue: dict[int, list[str]] = {
-            p: [e.task for e in entries]
-            for p, entries in schedule.proc_timeline().items()
-        }
-        self.queue_pos: dict[int, int] = {p: 0 for p in self.proc_queue}
-        self.preds_left = {n: len(graph.predecessors(n)) for n in names}
-        # flows (hence bytes) still missing per consumer task
-        self.flows_left: dict[str, int] = {n: 0 for n in names}
-        for eid in fl["edge_of"]:
-            self.flows_left[self.edges[eid][1]] += 1
-        # per-edge flow ids (for release on producer completion)
+    solves_component = 0
+    solve_rows = 0
+
+    def __init__(self, capacities: np.ndarray, pair_routes, pair_cap) -> None:
+        self.capacities = capacities
+        self.pair_routes = pair_routes
+        self.pair_cap = pair_cap
+        self.active = np.empty(0, dtype=np.intp)       # fid-sorted
+        self.active_pair = np.empty(0, dtype=np.intp)  # aligned pair ids
+        self.rates = np.empty(0)                       # aligned rates
+        self.released: list[int] = []
+        self.released_pair: list[int] = []
+        self.t = 0.0                                   # last event time
+        self.next_t = math.inf
+        self.solves_full = 0
+        self.solve_s = 0.0
+        self.sync_pairs()
+
+    def sync_pairs(self) -> None:
+        """Rebuild the pair route incidence (CSR) and rate caps."""
+        routes = self.pair_routes
+        lens = np.array([len(r) for r in routes], dtype=np.intp)
+        self.ptr = np.zeros(len(routes) + 1, dtype=np.intp)
+        np.cumsum(lens, out=self.ptr[1:])
+        self.flat = np.fromiter((li for r in routes for li in r),
+                                dtype=np.intp, count=int(lens.sum()))
+        self.caps = np.array(self.pair_cap, dtype=float)
+
+    def bind(self, remaining: np.ndarray,
+             done_threshold: np.ndarray) -> None:
+        self.remaining = remaining
+        self.done_threshold = done_threshold
+
+    def peek(self) -> float:
+        return self.next_t
+
+    def sweep(self, now: float, complete_flow) -> bool:
+        """Advance every active flow to ``now``; complete the drained ones
+        in ascending flow id.  Returns whether the flow set changed."""
+        active = self.active
+        remaining = self.remaining
+        dt = max(0.0, now - self.t)
+        if dt > 0 and len(active):
+            remaining[active] -= self.rates * dt
+        self.t = now
+        if not len(active):
+            self.next_t = math.inf
+            return False
+        done = remaining[active] <= self.done_threshold[active]
+        if not done.any():
+            self.next_t = now + float((remaining[active] / self.rates).min())
+            return False
+        finished = active[done]
+        keep = ~done
+        self.active = active[keep]
+        self.active_pair = self.active_pair[keep]
+        self.rates = self.rates[keep]
+        remaining[finished] = 0.0
+        for fid in finished.tolist():
+            complete_flow(fid, now)
+        return True
+
+    def release(self, fid: int, pid: int, now: float) -> None:
+        self.released.append(fid)
+        self.released_pair.append(pid)
+
+    def resolve(self, now: float) -> None:
+        """Re-solve every active flow (released ones joined fid-sorted)."""
+        t0 = perf_counter()
+        self.solves_full += 1
+        if self.released:
+            fids = np.concatenate([self.active, self.released])
+            pids = np.concatenate([self.active_pair, self.released_pair])
+            order = np.argsort(fids)
+            self.active = fids[order]
+            self.active_pair = pids[order]
+            self.released = []
+            self.released_pair = []
+        active = self.active
+        n = len(active)
+        if n:
+            links, lens = _csr_gather(self.flat, self.ptr, self.active_pair)
+            flow = np.repeat(np.arange(n, dtype=np.intp), lens)
+            self.rates = _waterfill(links, flow, n, self.capacities,
+                                    self.caps[self.active_pair])
+            self.next_t = now + float(
+                (self.remaining[active] / self.rates).min())
+        else:
+            self.next_t = math.inf
+        self.solve_s += perf_counter() - t0
+
+
+class _FluidEngine:
+    """The fluid event loop every simulator runs on.
+
+    Owns the replayed runtime semantics once: a task starts when it is at
+    the front of every processor queue it uses, all its predecessors
+    finished and all its incoming flows arrived; a finished task releases
+    its outgoing flows one route latency later.  Schedules join with
+    :meth:`_add_schedule` (task names optionally prefixed, so several jobs
+    can share the platform) and :meth:`_run` processes events in time
+    order.  Each event runs the same phases: flow completions (the rate
+    layer's sweep), task completions, flow releases, newly startable
+    tasks, and a rate re-solve when the flow set changed.
+
+    The rate layer is :class:`_ComponentRegistry` (bundled, component-
+    scoped; ``lazy`` picks dirty-only or full re-solves) or, with
+    ``use_bundling=False``, the per-flow reference :class:`_FlowRates`.
+    """
+
+    #: always 0: dynamic component splits were removed; the counter stays
+    #: for readers of older results
+    splits = 0
+
+    def __init__(self, cluster, *, collect_flow_traces: bool = False,
+                 lazy: bool = True, use_bundling: bool = True) -> None:
+        self.cluster = cluster
+        self.topo = cluster.topology
+        self.capacities = self.topo.capacity_array
+        self.lazy = lazy
+        self.collect_flow_traces = collect_flow_traces
+
+        # ---- pair tables (shared across schedules, keyed by (src, dst)) #
+        self.pair_index: dict[tuple[int, int], int] = {}
+        self.pair_routes: list[tuple[int, ...]] = []
+        self.pair_cap: list[float] = []
+        self.pair_lat: list[float] = []
+
+        # ---- global flow arrays (amortised append) ---- #
+        self.nf = 0
+        self.size = np.empty(8, dtype=float)
+        self.remaining = np.empty(8, dtype=float)
+        self.done_threshold = np.empty(8, dtype=float)
+        self.lat = np.empty(8, dtype=float)
+        self.src = np.empty(8, dtype=np.intp)
+        self.dst = np.empty(8, dtype=np.intp)
+        self.edge_of = np.empty(8, dtype=np.intp)
+        self.pair_of = np.empty(8, dtype=np.intp)
+        self.release_time = np.empty(8, dtype=float)
+
+        # ---- rate layer ---- #
+        if use_bundling:
+            self.reg = _ComponentRegistry(
+                self.capacities, self.pair_routes, self.pair_cap, lazy=lazy)
+        else:
+            self.reg = _FlowRates(self.capacities, self.pair_routes,
+                                  self.pair_cap)
+        self.reg.bind(self.remaining, self.done_threshold)
+
+        # ---- task bookkeeping (names as given to _add_schedule) ---- #
+        self.edges: list[tuple[str, str]] = []
+        self.total = 0
+        self.exec_time: dict[str, float] = {}
+        self.procs_of: dict[str, tuple[int, ...]] = {}
+        self.succs: dict[str, list[str]] = {}
+        self.proc_queue: dict[int, list[str]] = {}
+        self.queue_pos: dict[int, int] = {}
+        self.preds_left: dict[str, int] = {}
+        self.flows_left: dict[str, int] = {}
         self.edge_flows: dict[int, list[int]] = {}
-        for fid, eid in enumerate(fl["edge_of"]):
-            self.edge_flows.setdefault(int(eid), []).append(fid)
-        self.out_edge_ids: dict[str, list[int]] = {n: [] for n in names}
-        for eid, (u, _v) in enumerate(self.edges):
-            self.out_edge_ids[u].append(eid)
-        self.release_time = np.full(len(fl["size"]), np.inf)
+        self.out_edge_ids: dict[str, list[int]] = {}
         self.started: set[str] = set()
-        self.done: set[str] = set()
+        self.done_tasks: set[str] = set()
         self.task_start: dict[str, float] = {}
         self.finish_heap: list[tuple[float, str]] = []
-        self.release_heap: list[tuple[float, int]] = []  # (time, flow id)
+        self.release_heap: list[tuple[float, int]] = []
         self.traces: dict[str, TaskTrace] = {}
         self.flow_traces: list[FlowTrace] = []
-        # candidates whose readiness must be rechecked after an event
-        self.check_ready: set[str] = set(names)
+        self.check_ready: set[str] = set()
+        # per-task job record (or None): anything with job_id, n_tasks,
+        # n_done, start and completion attributes
+        self.job_of_task: dict[str, object] = {}
+        self._newly_completed: list[str] = []
+
+        self.now = 0.0
+        self.events = 0
+        self._loop_s = 0.0        # event-loop wall clock (run)
+
+    # solver counters live on the rate layer
+    @property
+    def solves_full(self) -> int:
+        return self.reg.solves_full
+
+    @property
+    def solves_component(self) -> int:
+        return self.reg.solves_component
+
+    @property
+    def solve_rows(self) -> int:
+        return self.reg.solve_rows
+
+    @property
+    def solve_s(self) -> float:
+        """Wall-clock seconds inside the rate re-solve phase."""
+        return self.reg.solve_s
+
+    @property
+    def event_s(self) -> float:
+        """Event-loop wall clock outside the solve phase."""
+        return self._loop_s - self.reg.solve_s
 
     # ------------------------------------------------------------------ #
-    def at_front(self, name: str) -> bool:
+    def _add_schedule(self, schedule: Schedule, at: float, *,
+                     prefix: str = "", job=None) -> None:
+        """Add a schedule's tasks and flows at virtual time ``at``.
+
+        Task ``n`` is tracked as ``prefix + n``; its tasks append to the
+        live processor queues, and ready source tasks start at ``at``.
+        Route lookups run once per distinct (src, dst) *pair*: flows are
+        tagged with a pair id (``pair_of``) whose route, rate cap and
+        latency are stored once — the basis of the bundled solves.
+        """
+        graph = schedule.graph
+        names = graph.task_names()
+        gname = {n: prefix + n for n in names}
+
+        for n in names:
+            g = gname[n]
+            self.exec_time[g] = schedule[n].duration
+            self.procs_of[g] = schedule[n].procs
+            self.preds_left[g] = len(graph.predecessors(n))
+            self.flows_left[g] = 0
+            self.succs[g] = [gname[s] for s in graph.successors(n)]
+            self.out_edge_ids[g] = []
+            self.job_of_task[g] = job
+        for p, entries in schedule.proc_timeline().items():
+            self.proc_queue.setdefault(p, []).extend(
+                gname[e.task] for e in entries)
+            self.queue_pos.setdefault(p, 0)
+
+        # expand edges into flows, pair ids resolved against the shared
+        # pair table
+        new_src: list[int] = []
+        new_dst: list[int] = []
+        new_size: list[float] = []
+        new_eid: list[int] = []
+        new_pid: list[int] = []
+        n_pairs = len(self.pair_routes)
+        for u, v, data in graph.edges():
+            eid = len(self.edges)
+            self.edges.append((gname[u], gname[v]))
+            self.out_edge_ids[gname[u]].append(eid)
+            specs = redistribution_flows(schedule[u].procs, schedule[v].procs,
+                                         data)
+            for s in specs:
+                if s.data_bytes <= 0:
+                    continue
+                pid = self.pair_index.get((s.src, s.dst))
+                if pid is None:
+                    pid = len(self.pair_routes)
+                    self.pair_index[(s.src, s.dst)] = pid
+                    route = self.topo.route(s.src, s.dst)
+                    self.pair_cap.append(route.rate_cap_Bps)
+                    self.pair_lat.append(route.latency_s)
+                    self.pair_routes.append(
+                        self.topo.route_indices(s.src, s.dst))
+                new_src.append(s.src)
+                new_dst.append(s.dst)
+                new_size.append(s.data_bytes)
+                new_eid.append(eid)
+                new_pid.append(pid)
+        if len(self.pair_routes) != n_pairs:
+            self.reg.sync_pairs()
+
+        n_new = len(new_size)
+        base = self.nf
+        need = base + n_new
+        self.size = _grow(self.size, need)
+        self.remaining = _grow(self.remaining, need)
+        self.done_threshold = _grow(self.done_threshold, need)
+        # growth may reallocate: re-bind the rate layer's views (and the
+        # kernel-side raw addresses cached alongside them)
+        self.reg.bind(self.remaining, self.done_threshold)
+        self.lat = _grow(self.lat, need)
+        self.src = _grow(self.src, need)
+        self.dst = _grow(self.dst, need)
+        self.edge_of = _grow(self.edge_of, need)
+        self.pair_of = _grow(self.pair_of, need)
+        self.release_time = _grow(self.release_time, need)
+        if n_new:
+            sizes = np.array(new_size, dtype=float)
+            self.size[base:need] = sizes
+            self.remaining[base:need] = sizes
+            self.done_threshold[base:need] = np.maximum(
+                sizes * _REL_BYTES_EPS, 1e-12)
+            # index the pair-latency list per new flow — materialising the
+            # whole pair table here would be O(total pairs) per schedule
+            pl = self.pair_lat
+            self.lat[base:need] = [pl[p] for p in new_pid]
+            self.src[base:need] = new_src
+            self.dst[base:need] = new_dst
+            self.edge_of[base:need] = new_eid
+            self.pair_of[base:need] = new_pid
+            self.release_time[base:need] = np.inf
+            for off, eid in enumerate(new_eid):
+                self.edge_flows.setdefault(eid, []).append(base + off)
+                self.flows_left[self.edges[eid][1]] += 1
+        self.nf = need
+
+        self.total += len(names)
+        self.check_ready.update(gname.values())
+        self._start_ready(at)
+
+    # ------------------------------------------------------------------ #
+    # task bookkeeping
+    # ------------------------------------------------------------------ #
+    def _at_front(self, name: str) -> bool:
         return all(
             self.queue_pos[p] < len(self.proc_queue[p])
             and self.proc_queue[p][self.queue_pos[p]] == name
             for p in self.procs_of[name]
         )
 
-    def can_start(self, name: str) -> bool:
-        return (name not in self.started
-                and self.preds_left[name] == 0
-                and self.flows_left[name] == 0
-                and self.at_front(name))
+    def _start_ready(self, now: float) -> None:
+        """Start every newly startable task, clearing the recheck set."""
+        for name in self.check_ready:
+            if (name not in self.started
+                    and self.preds_left[name] == 0
+                    and self.flows_left[name] == 0
+                    and self._at_front(name)):
+                self.started.add(name)
+                self.task_start[name] = now
+                job = self.job_of_task[name]
+                if job is not None and job.start is None:
+                    job.start = now
+                heapq.heappush(self.finish_heap,
+                               (now + self.exec_time[name], name))
+        self.check_ready.clear()
 
-    def start_task(self, name: str, now: float) -> None:
-        self.started.add(name)
-        self.task_start[name] = now
-        heapq.heappush(self.finish_heap, (now + self.exec_time[name], name))
-
-    def finish_task(self, name: str, now: float) -> None:
-        self.done.add(name)
+    def _finish_task(self, name: str, now: float) -> None:
+        self.done_tasks.add(name)
         self.traces[name] = TaskTrace(task=name, procs=self.procs_of[name],
                                       start=self.task_start[name], finish=now)
+        job = self.job_of_task[name]
+        if job is not None:
+            job.n_done += 1
+            if job.n_done == job.n_tasks:
+                job.completion = now
+                self._newly_completed.append(job.job_id)
         for p in self.procs_of[name]:
             self.queue_pos[p] += 1
             pos = self.queue_pos[p]
             if pos < len(self.proc_queue[p]):
                 self.check_ready.add(self.proc_queue[p][pos])
-        for succ in self.graph.successors(name):
+        for succ in self.succs[name]:
             self.preds_left[succ] -= 1
             self.check_ready.add(succ)
-        lat = self.fl["lat"]
         for eid in self.out_edge_ids[name]:
             for fid in self.edge_flows.get(eid, ()):  # release after latency
-                t_rel = now + lat[fid]
+                t_rel = now + self.lat[fid]
                 self.release_time[fid] = t_rel
                 heapq.heappush(self.release_heap, (t_rel, fid))
 
-    def complete_flow(self, fid: int, now: float) -> None:
-        eid = int(self.fl["edge_of"][fid])
+    def _complete_flow(self, fid: int, now: float) -> None:
+        eid = int(self.edge_of[fid])
         self.flows_left[self.edges[eid][1]] -= 1
         self.check_ready.add(self.edges[eid][1])
         if self.collect_flow_traces:
             self.flow_traces.append(FlowTrace(
                 edge=self.edges[eid],
-                src=int(self.fl["src"][fid]),
-                dst=int(self.fl["dst"][fid]),
-                data_bytes=float(self.fl["size"][fid]),
+                src=int(self.src[fid]),
+                dst=int(self.dst[fid]),
+                data_bytes=float(self.size[fid]),
                 release=float(self.release_time[fid]),
                 finish=now))
 
-    def start_ready(self, now: float) -> None:
-        """Start every newly startable task, clearing the recheck set."""
-        for name in self.check_ready:
-            if name not in self.started and self.can_start(name):
-                self.start_task(name, now)
-        self.check_ready.clear()
+    # ------------------------------------------------------------------ #
+    # event loop
+    # ------------------------------------------------------------------ #
+    def _run(self, until: float = math.inf) -> None:
+        """Process every pending event at or before ``until`` (default:
+        until every added task has finished; a stall then raises)."""
+        reg = self.reg
+        finish_heap = self.finish_heap
+        release_heap = self.release_heap
+        pair_of = self.pair_of
+        complete_flow = self._complete_flow
+        finish_task = self._finish_task
+        start_ready = self._start_ready
+        done = self.done_tasks
+        total = self.total
+        events = self.events
+        t0 = perf_counter()
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                while len(done) < total:
+                    t_next = reg.peek()
+                    if finish_heap and finish_heap[0][0] < t_next:
+                        t_next = finish_heap[0][0]
+                    if release_heap and release_heap[0][0] < t_next:
+                        t_next = release_heap[0][0]
+                    if t_next > until:
+                        break
+                    if not math.isfinite(t_next):  # pragma: no cover
+                        raise RuntimeError(
+                            f"simulation stalled at t={self.now:g}: "
+                            f"{total - len(done)} tasks never became "
+                            f"runnable")
+                    self.now = now = t_next
+                    events += 1
+
+                    # 1) flow completions
+                    set_changed = reg.sweep(now, complete_flow)
+
+                    # 2) task completions
+                    while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
+                        finish_task(heapq.heappop(finish_heap)[1], now)
+
+                    # 3) flow releases
+                    while (release_heap
+                           and release_heap[0][0] <= now + _TIME_EPS):
+                        fid = heapq.heappop(release_heap)[1]
+                        set_changed = True
+                        reg.release(fid, int(pair_of[fid]), now)
+
+                    # 4) newly startable tasks
+                    start_ready(now)
+
+                    # 5) re-solve the rate layer
+                    if set_changed:
+                        reg.resolve(now)
+        finally:
+            self.events = events
+            self._loop_s += perf_counter() - t0
 
     def makespan(self) -> float:
+        """Span from the earliest task start to the latest finish."""
+        if not self.traces:
+            return 0.0
         return (max(tr.finish for tr in self.traces.values())
                 - min(tr.start for tr in self.traces.values()))
 
@@ -1108,10 +1450,10 @@ class FluidSimulator:
         spawn tens of thousands of flows).
     use_bundling:
         Solve Max-Min rates over unique (src, dst) route bundles with
-        multiplicities (the fast path, on by default).  ``False`` runs the
-        original per-flow waterfilling and global-scan loop — the
-        reference implementation the golden equivalence tests compare
-        against (``lazy`` is then ignored).
+        multiplicities (the fast path, on by default).  ``False`` solves
+        per-flow waterfilling over the whole active set at every
+        flow-set change — the reference the golden equivalence tests
+        compare against (``lazy`` is then ignored).
     lazy:
         On the bundled engine, re-solve only the link-connected components
         an event touched (default).  ``lazy=False`` re-solves every live
@@ -1130,295 +1472,25 @@ class FluidSimulator:
         self.use_bundling = use_bundling
         self.lazy = lazy
 
-    # ------------------------------------------------------------------ #
-    def _build_flows(self):
-        """Expand every edge into flows; returns global flow arrays.
-
-        Route lookups run once per distinct (src, dst) *pair*, not per
-        flow: flows are tagged with a pair id (``pair_of``) and the pair's
-        route incidence is stored once in CSR form (``pair_links_flat`` /
-        ``pair_ptr``) — the basis of the bundled Max-Min solves.
-        """
-        graph, schedule, topo = self.graph, self.schedule, self.cluster.topology
-        srcs: list[int] = []
-        dsts: list[int] = []
-        sizes: list[float] = []
-        edge_of: list[int] = []
-        pair_of: list[int] = []
-        edges: list[tuple[str, str]] = []
-        edge_index: dict[tuple[str, str], int] = {}
-
-        pair_index: dict[tuple[int, int], int] = {}
-        pair_caps: list[float] = []
-        pair_lats: list[float] = []
-        pair_routes: list[tuple[int, ...]] = []
-
-        for u, v, data in graph.edges():
-            eid = len(edges)
-            edges.append((u, v))
-            edge_index[(u, v)] = eid
-            specs = redistribution_flows(schedule[u].procs, schedule[v].procs,
-                                         data)
-            for s in specs:
-                if s.data_bytes <= 0:
-                    continue
-                pid = pair_index.get((s.src, s.dst))
-                if pid is None:
-                    pid = len(pair_routes)
-                    pair_index[(s.src, s.dst)] = pid
-                    route = topo.route(s.src, s.dst)
-                    pair_caps.append(route.rate_cap_Bps)
-                    pair_lats.append(route.latency_s)
-                    pair_routes.append(topo.route_indices(s.src, s.dst))
-                srcs.append(s.src)
-                dsts.append(s.dst)
-                sizes.append(s.data_bytes)
-                edge_of.append(eid)
-                pair_of.append(pid)
-
-        pair_of_arr = np.array(pair_of, dtype=np.intp)
-        pair_lens = np.array([len(r) for r in pair_routes], dtype=np.intp)
-        pair_ptr = np.zeros(len(pair_routes) + 1, dtype=np.intp)
-        np.cumsum(pair_lens, out=pair_ptr[1:])
-        pair_links_flat = np.fromiter(
-            (li for r in pair_routes for li in r),
-            dtype=np.intp, count=int(pair_lens.sum()))
-        pair_cap_arr = np.array(pair_caps, dtype=float)
-        pair_lat_arr = np.array(pair_lats, dtype=float)
-
-        return {
-            "src": np.array(srcs, dtype=np.intp),
-            "dst": np.array(dsts, dtype=np.intp),
-            "size": np.array(sizes, dtype=float),
-            "cap": (pair_cap_arr[pair_of_arr] if len(srcs)
-                    else np.empty(0, dtype=float)),
-            "lat": (pair_lat_arr[pair_of_arr] if len(srcs)
-                    else np.empty(0, dtype=float)),
-            "edge_of": np.array(edge_of, dtype=np.intp),
-            "pair_of": pair_of_arr,
-            "pair_cap": pair_cap_arr,
-            "pair_lat": pair_lat_arr,
-            "pair_links_flat": pair_links_flat,
-            "pair_ptr": pair_ptr,
-            "pair_routes": pair_routes,
-            "edges": edges,
-            "edge_index": edge_index,
-        }
-
-    # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
-        if self.use_bundling:
-            return self._run_component()
-        return self._run_reference()
-
-    # ================================================================== #
-    # component engine (use_bundling=True)
-    # ================================================================== #
-    def _run_component(self) -> SimulationResult:
-        topo = self.cluster.topology
-        capacities = topo.capacity_array
-
-        fl = self._build_flows()
-        tb = _TaskBookkeeping(self, fl)
-
-        size = fl["size"]
-        pair_of = fl["pair_of"]
-
-        reg = _ComponentRegistry(capacities, fl["pair_routes"],
-                                 fl["pair_cap"], lazy=self.lazy)
-        reg.bind(size.copy(), np.maximum(size * _REL_BYTES_EPS, 1e-12))
-
-        # ---------------- event loop ---------------- #
-        now = 0.0
-        events = 0
-        tb.start_ready(now)  # prime
-
-        total = tb.total
-        finish_heap = tb.finish_heap
-        release_heap = tb.release_heap
-        complete_flow = tb.complete_flow
-        old_err = np.seterr(divide="ignore", invalid="ignore")
-        t_loop = perf_counter()
-        try:
-            while len(tb.done) < total:
-                t_next = reg.peek()
-                if finish_heap and finish_heap[0][0] < t_next:
-                    t_next = finish_heap[0][0]
-                if release_heap and release_heap[0][0] < t_next:
-                    t_next = release_heap[0][0]
-                if not math.isfinite(t_next):  # pragma: no cover - deadlock
-                    raise RuntimeError(
-                        f"simulation stalled at t={now:g}: "
-                        f"{total - len(tb.done)} tasks never became runnable")
-                now = t_next
-                events += 1
-                reg.begin_event()
-
-                # 1) flow completions (component sweep + local flows)
-                set_changed = reg.sweep(now, complete_flow)
-
-                # 2) task completions
-                while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
-                    _, name = heapq.heappop(finish_heap)
-                    tb.finish_task(name, now)
-
-                # 3) flow releases
-                while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-                    _, fid = heapq.heappop(release_heap)
-                    set_changed = True
-                    reg.release(int(fid), int(pair_of[fid]), now)
-
-                # 4) newly startable tasks
-                tb.start_ready(now)
-
-                # 5) re-solve dirty (lazy) or all live (oracle) components
-                if set_changed:
-                    reg.resolve(now)
-
-        finally:
-            np.seterr(**old_err)
-        loop_s = perf_counter() - t_loop
-
+        eng = _FluidEngine(self.cluster,
+                           collect_flow_traces=self.collect_flow_traces,
+                           lazy=self.lazy, use_bundling=self.use_bundling)
+        eng._add_schedule(self.schedule, 0.0)
+        eng._run()
+        reg = eng.reg
         return SimulationResult(
-            makespan=tb.makespan(),
-            task_traces=tb.traces,
-            flow_traces=tb.flow_traces,
-            events=events,
-            maxmin_solves=reg.solves_component,
+            makespan=eng.makespan(),
+            task_traces=eng.traces,
+            flow_traces=eng.flow_traces,
+            events=eng.events,
+            maxmin_solves=(reg.solves_component if self.use_bundling
+                           else reg.solves_full),
             solves_full=reg.solves_full,
             solves_component=reg.solves_component,
             solve_rows=reg.solve_rows,
             solve_s=reg.solve_s,
-            event_s=loop_s - reg.solve_s,
-        )
-
-    # ================================================================== #
-    # reference per-flow engine (use_bundling=False)
-    # ================================================================== #
-    def _run_reference(self) -> SimulationResult:
-        graph, cluster = self.graph, self.cluster
-        topo = cluster.topology
-        capacities = topo.capacity_array
-
-        fl = self._build_flows()
-        tb = _TaskBookkeeping(self, fl)
-        n_flows = len(fl["size"])
-
-        remaining = fl["size"].copy()
-        rates = np.zeros(n_flows)
-        done_threshold = np.maximum(fl["size"] * _REL_BYTES_EPS, 1e-12)
-
-        pair_of = fl["pair_of"]
-        pair_ptr = fl["pair_ptr"]
-        pair_links_flat = fl["pair_links_flat"]
-
-        # reference path: expand the per-flow (link, flow) incidence
-        links_flat, _ = _csr_gather(pair_links_flat, pair_ptr, pair_of)
-        links_flow = np.repeat(
-            np.arange(n_flows, dtype=np.intp),
-            pair_ptr[pair_of + 1] - pair_ptr[pair_of])
-
-        now = 0.0
-        events = 0
-        solves = 0
-
-        active_idx = np.empty(0, dtype=np.intp)  # ids of active flows
-        next_completion = math.inf
-        finish_heap = tb.finish_heap
-        release_heap = tb.release_heap
-
-        def recompute_rates() -> None:
-            nonlocal solves, next_completion
-            solves += 1
-            if len(active_idx) == 0:
-                next_completion = math.inf
-                return
-            # compact incidence restricted to the active flows
-            # (active_idx kept sorted on this path)
-            active_mask = np.zeros(n_flows, dtype=bool)
-            active_mask[active_idx] = True
-            sel = active_mask[links_flow]
-            compact_flow = np.searchsorted(active_idx, links_flow[sel])
-            r = _waterfill(links_flat[sel], compact_flow, len(active_idx),
-                           capacities, fl["cap"][active_idx])
-            rates[active_idx] = r
-            etas = remaining[active_idx] / rates[active_idx]
-            next_completion = now + float(etas.min())
-
-        tb.start_ready(now)  # prime
-
-        total = tb.total
-        # a single errstate for the whole loop: etas legitimately divide
-        # by zero/inf rates (instantaneous and stalled flows)
-        old_err = np.seterr(divide="ignore", invalid="ignore")
-        try:
-            while len(tb.done) < total:
-                t_candidates = [next_completion]
-                if finish_heap:
-                    t_candidates.append(finish_heap[0][0])
-                if release_heap:
-                    t_candidates.append(release_heap[0][0])
-                t_next = min(t_candidates)
-                if not math.isfinite(t_next):  # pragma: no cover - deadlock guard
-                    raise RuntimeError(
-                        f"simulation stalled at t={now:g}: "
-                        f"{total - len(tb.done)} tasks never became runnable")
-                dt = max(0.0, t_next - now)
-
-                if dt > 0 and len(active_idx):
-                    remaining[active_idx] -= rates[active_idx] * dt
-                now = t_next
-                events += 1
-                set_changed = False
-
-                # 1) flow completions
-                if len(active_idx):
-                    done_sel = remaining[active_idx] <= done_threshold[active_idx]
-                    if done_sel.any():
-                        finished = active_idx[done_sel]
-                        active_idx = active_idx[~done_sel]
-                        remaining[finished] = 0.0
-                        set_changed = True
-                        for fid in finished:
-                            tb.complete_flow(int(fid), now)
-
-                # 2) task completions
-                while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
-                    _, name = heapq.heappop(finish_heap)
-                    tb.finish_task(name, now)
-
-                # 3) flow releases
-                newly_active: list[int] = []
-                while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-                    _, fid = heapq.heappop(release_heap)
-                    newly_active.append(fid)
-                if newly_active:
-                    new = np.array(newly_active, dtype=np.intp)
-                    active_idx = np.sort(np.concatenate([active_idx, new]))
-                    set_changed = True
-
-                # 4) newly startable tasks
-                tb.start_ready(now)
-
-                if set_changed:
-                    recompute_rates()
-                elif len(active_idx):
-                    etas = remaining[active_idx] / rates[active_idx]
-                    next_completion = now + float(etas.min())
-                else:
-                    next_completion = math.inf
-
-        finally:
-            np.seterr(**old_err)
-
-        return SimulationResult(
-            makespan=tb.makespan(),
-            task_traces=tb.traces,
-            flow_traces=tb.flow_traces,
-            events=events,
-            maxmin_solves=solves,
-            solves_full=solves,
-            solves_component=0,
+            event_s=eng.event_s,
         )
 
 

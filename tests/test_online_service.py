@@ -137,6 +137,42 @@ class TestProtocol:
         assert replies[5]["type"] == "bye"
         assert server.join()
 
+    def test_duplicate_job_id_leaves_first_submitter_intact(self):
+        """A rejected duplicate must not take over the first submitter's
+        record stream nor consume a job id."""
+        server = _Server(OnlineSimulator(GRILLON))
+        first = socket.create_connection((server.host, server.port),
+                                         timeout=30)
+        second = socket.create_connection((server.host, server.port),
+                                          timeout=30)
+        with first, second:
+            r1 = first.makefile("r", encoding="utf-8")
+            r2 = second.makefile("r", encoding="utf-8")
+            submit = {"op": "submit", "workload": STRASSEN, "t": 0.0,
+                      "job_id": "a"}
+            first.sendall(json.dumps(submit).encode() + b"\n")
+            assert json.loads(r1.readline())["type"] == "ack"
+            second.sendall(json.dumps(submit).encode() + b"\n")
+            dup = json.loads(r2.readline())
+            assert dup["type"] == "error" and "duplicate" in dup["error"]
+            second.sendall(json.dumps(
+                {"op": "submit", "workload": STRASSEN, "t": 0.0}
+            ).encode() + b"\n")
+            assert json.loads(r2.readline())["job_id"] == "srv-00001"
+            second.sendall(b'{"op": "drain"}\n')
+            # the second connection gets only its own job's record...
+            own = json.loads(r2.readline())
+            assert own["type"] == "record"
+            assert own["record"]["job_id"] == "srv-00001"
+            assert json.loads(r2.readline())["type"] == "drained"
+            # ...and job "a"'s record still streams to its submitter
+            rec = json.loads(r1.readline())
+            assert rec["type"] == "record"
+            assert rec["record"]["job_id"] == "a"
+            second.sendall(b'{"op": "shutdown"}\n')
+            assert json.loads(r2.readline())["type"] == "bye"
+        assert server.join()
+
     def test_drain_streams_records_before_final_reply(self):
         server = _Server(OnlineSimulator(GRILLON))
         with socket.create_connection((server.host, server.port),

@@ -96,12 +96,31 @@ class TestNumpyFallbackParity:
         assert_byte_identical(numpy_path, with_kernel)
 
     def test_kill_switch_reaches_registry(self, monkeypatch):
+        from repro.network import maxmin
         from repro.simulation.simulator import _ComponentRegistry
 
+        kernel = maxmin._kernel()          # memoise the binding first
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        if kernel is not None:
+            monkeypatch.setattr(maxmin, "_C_KERNEL", spy)
         monkeypatch.setenv("REPRO_NO_C_KERNEL", "1")
         reg = _ComponentRegistry(np.array([1.0]), [(0,)], [np.inf])
         assert reg._batch_knl is None
         assert reg._sweep_knl is None
+        assert maxmin._kernel() is None
+        # the full-solve oracle solves every component through
+        # waterfill_bundled: none of those solves may run compiled
+        scenario = Scenario(family="layered", n_tasks=12, width=0.5,
+                            density=0.8, regularity=0.8, sample=0)
+        res = FluidSimulator(_schedule_for_scenario(scenario, CHTI),
+                             lazy=False).run()
+        assert res.solves_component > 0
+        assert calls == []
 
 
 class TestPhaseAttribution:

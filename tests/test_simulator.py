@@ -204,3 +204,30 @@ class TestSimulationInvariants:
         res = simulate(schedule)
         assert res.events > 0
         assert res.maxmin_solves >= 0
+
+
+class TestTaskNames:
+    @pytest.mark.parametrize("kw", [{}, {"lazy": False},
+                                    {"use_bundling": False}])
+    def test_slash_names_round_trip(self, hier_cluster, kw):
+        """Names containing ``/`` come back exactly as given: in the
+        ``task_traces`` keys, ``TaskTrace.task`` and ``FlowTrace.edge``."""
+        from repro.dag.task import Task, TaskGraph
+
+        g = TaskGraph(name="slashes")
+        names = ["in/put", "a/b", "a/b/c", "/lead", "trail/"]
+        for n in names:
+            g.add_task(Task(n, data_elements=1e6, flops=1e9, alpha=0.1))
+        for u, v in [("in/put", "a/b"), ("in/put", "a/b/c"),
+                     ("a/b", "/lead"), ("a/b/c", "/lead"),
+                     ("/lead", "trail/")]:
+            g.add_edge(u, v)
+        model = hier_cluster.performance_model()
+        alloc = hcpa_allocation(g, model, hier_cluster.num_procs).allocation
+        schedule = ListScheduler(g, hier_cluster, model, alloc).run()
+        res = simulate(schedule, collect_flow_traces=True, **kw)
+        assert set(res.task_traces) == set(names)
+        assert all(tr.task == name for name, tr in res.task_traces.items())
+        edges = {(u, v) for u, v, _ in g.edges()}
+        assert res.flow_traces
+        assert {ft.edge for ft in res.flow_traces} == edges
